@@ -190,7 +190,6 @@ func e1() {
 	base := bn254.GTBase()
 
 	row("pairing (optimal ate)", timeOp(func() { bn254.Pair(p, q) }))
-	row("pairing (direct final exp)", timeOp(func() { bn254.PairDirectHardPart(p, q) }))
 	prep := bn254.G2GeneratorPrepared()
 	row("pairing (prepared G2)", timeOp(func() { bn254.PairPrepared(p, prep) }))
 	row("G2 preparation (one-time)", timeOp(func() { bn254.PrepareG2(q) }))

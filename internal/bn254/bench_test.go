@@ -8,8 +8,8 @@ import (
 
 // In-package micro-benchmarks for the arithmetic layers, including the
 // ablation pairs (affine vs Jacobian ladders, binary vs windowed
-// exponentiation, chain vs direct final exponentiation) that back the E1
-// table's design-choice discussion.
+// exponentiation, generic vs cyclotomic squaring, chain vs direct final
+// exponentiation) that back the E1 table's design-choice discussion.
 
 func benchScalar() *big.Int {
 	r := rand.New(rand.NewSource(99))
@@ -66,6 +66,15 @@ func BenchmarkFp12Square(b *testing.B) {
 	}
 }
 
+func BenchmarkFp12CyclotomicSquare(b *testing.B) {
+	x := GTBase().v
+	var out fp12
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out.CyclotomicSquare(&x)
+	}
+}
+
 func BenchmarkFp12Inverse(b *testing.B) {
 	r := rand.New(rand.NewSource(6))
 	x := randFp12(r)
@@ -119,7 +128,7 @@ func BenchmarkFp12ExpWindowed(b *testing.B) {
 	var out fp12
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out.expWindowed(x, k)
+		out.expWindowed(x, k, false)
 	}
 }
 
@@ -148,6 +157,18 @@ func BenchmarkFinalExponentiation(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		finalExponentiation(f)
+	}
+}
+
+// BenchmarkPairDirectHardPart is the ablation for the hard-part addition
+// chain: the full pairing with the hard part done by generic
+// exponentiation.
+func BenchmarkPairDirectHardPart(b *testing.B) {
+	p := G1Generator()
+	q := G2Generator()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pairDirectHardPart(p, q)
 	}
 }
 

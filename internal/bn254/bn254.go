@@ -52,9 +52,6 @@ var (
 	// curveB is the constant of E: y² = x³ + curveB over Fp.
 	curveB fp.Element
 
-	// ateLoopCount is 6u+2, the Miller loop length of the optimal ate pairing.
-	ateLoopCount = new(big.Int)
-
 	// twistB is 3/ξ, the constant of the twist E'.
 	twistB fp2
 
@@ -102,8 +99,10 @@ func init() {
 		panic("bn254: group order does not match BN(u) derivation")
 	}
 
-	ateLoopCount.Mul(u, big.NewInt(6))
+	ateLoopCount := new(big.Int).Mul(u, big.NewInt(6))
 	ateLoopCount.Add(ateLoopCount, big.NewInt(2))
+	checkNAF("u", uNAF[:], u)
+	checkNAF("6u+2", ateLoopNAF[:], ateLoopCount)
 
 	curveB.SetUint64(3)
 
@@ -136,4 +135,41 @@ func init() {
 	finalExpHard.Div(finalExpHard, Order)
 
 	initGenerators()
+}
+
+// Signed-digit (non-adjacent form) expansions of the two public loop
+// constants, least significant digit first: Σ dᵢ·2ⁱ with dᵢ ∈ {−1, 0, 1}
+// and no two adjacent digits nonzero. init checks both against u.
+var (
+	// uNAF is u: 24 nonzero digits where the binary form has 28. The hard
+	// part of the final exponentiation walks it three times (expByU).
+	uNAF = [63]int8{
+		1, 0, 0, 0, -1, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0,
+		1, 0, 0, 1, 0, -1, 0, 1, 0, 1, 0, 1, 0, 0, 1, 0,
+		0, 0, 1, 0, -1, 0, -1, 0, -1, 0, 1, 0, 1, 0, 0, -1,
+		0, 1, 0, 1, 0, -1, 0, 0, 1, 0, 1, 0, 0, 0, 1,
+	}
+
+	// ateLoopNAF is 6u+2, the optimal ate Miller loop length: 22 nonzero
+	// digits where the binary form has 37, one digit longer (ateLoop).
+	ateLoopNAF = [66]int8{
+		0, 0, 0, 1, 0, 1, 0, -1, 0, 0, -1, 0, 0, 0, 1, 0,
+		0, -1, 0, -1, 0, 0, 0, 1, 0, -1, 0, 0, 0, 0, -1, 0,
+		0, 1, 0, -1, 0, 0, 1, 0, 0, 0, 0, 0, -1, 0, 0, -1,
+		0, 1, 0, -1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1, 0, -1,
+		0, 1,
+	}
+)
+
+// checkNAF panics unless the digits d, least significant first, sum back to
+// want and lead with a 1, which the loops walking them start from.
+func checkNAF(name string, d []int8, want *big.Int) {
+	got := new(big.Int)
+	for i := len(d) - 1; i >= 0; i-- {
+		got.Lsh(got, 1)
+		got.Add(got, big.NewInt(int64(d[i])))
+	}
+	if got.Cmp(want) != 0 || d[len(d)-1] != 1 {
+		panic("bn254: signed-digit expansion of " + name + " does not match")
+	}
 }

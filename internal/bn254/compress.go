@@ -106,8 +106,9 @@ func (p *G2) MarshalCompressed() []byte {
 }
 
 // UnmarshalCompressed decodes a compressed G2 point, recomputing y via an
-// Fp2 square root and validating both the twist equation and order-r
-// subgroup membership.
+// Fp2 square root, which verifies the twist equation. It does not verify
+// order-r subgroup membership today: IsInSubgroup accepts every point on
+// the twist (see its comment and docs/bn254.md, "Known gap").
 func (p *G2) UnmarshalCompressed(data []byte) error {
 	if len(data) != G2CompressedSize {
 		return fmt.Errorf("bn254: invalid compressed G2 length %d", len(data))

@@ -144,6 +144,39 @@ func (e *fp6) Mul(a, b *fp6) *fp6 {
 	return e
 }
 
+// mulBy01 sets e = a·(b0 + b1·τ) and returns e. Aliasing of e with a is
+// allowed. The Miller loop's sparse lines need this product, which takes
+// five fp2 multiplications where Mul takes six:
+//
+//	z0 = v0 + ξ·a2b1
+//	z1 = (a0+a1)(b0+b1) − v0 − v1
+//	z2 = v1 + a2b0
+//
+// with v0 = a0b0 and v1 = a1b1.
+func (e *fp6) mulBy01(a *fp6, b0, b1 *fp2) *fp6 {
+	var v0, v1, s, t, z0, z1, z2 fp2
+	v0.Mul(&a.c0, b0)
+	v1.Mul(&a.c1, b1)
+
+	t.Mul(&a.c2, b1)
+	mulByXi(&t, &t)
+	z0.Add(&v0, &t)
+
+	s.Add(&a.c0, &a.c1)
+	t.Add(b0, b1)
+	s.Mul(&s, &t)
+	s.Sub(&s, &v0)
+	z1.Sub(&s, &v1)
+
+	t.Mul(&a.c2, b0)
+	z2.Add(&v1, &t)
+
+	e.c0.Set(&z0)
+	e.c1.Set(&z1)
+	e.c2.Set(&z2)
+	return e
+}
+
 // Square sets e = a² and returns e.
 func (e *fp6) Square(a *fp6) *fp6 {
 	return e.Mul(a, a)

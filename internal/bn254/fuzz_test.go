@@ -200,6 +200,31 @@ func FuzzFp2VsBig(f *testing.F) {
 	})
 }
 
+// FuzzGTExpVsGeneric differentially checks GT.Exp, the window loop on
+// cyclotomic squaring, against the generic fp12.Exp: for fuzzed scalars k
+// and e (e negated when neg is set), GT.Exp(GTExpBase(k), e) must equal
+// GTExpBase(k)^(e mod r) computed with full Fp12 squarings.
+func FuzzGTExpVsGeneric(f *testing.F) {
+	f.Add([]byte{1}, []byte{0}, false)
+	f.Add([]byte{7}, Order.Bytes(), false)
+	f.Add(bytes.Repeat([]byte{0xff}, 32), bytes.Repeat([]byte{0xa5}, 40), true)
+	f.Fuzz(func(t *testing.T, kb, eb []byte, neg bool) {
+		k := new(big.Int).SetBytes(kb)
+		e := new(big.Int).SetBytes(eb)
+		if neg {
+			e.Neg(e)
+		}
+		a := GTExpBase(k)
+		var got GT
+		got.Exp(a, e)
+		var want fp12
+		want.Exp(&a.v, new(big.Int).Mod(e, Order))
+		if !got.v.Equal(&want) {
+			t.Fatalf("GT.Exp(GTExpBase(%v), %v) != generic Exp", k, e)
+		}
+	})
+}
+
 func FuzzHashToZr(f *testing.F) {
 	f.Add([]byte("type"))
 	f.Add([]byte{})

@@ -58,14 +58,18 @@ func (g *GT) Div(a, b *GT) *GT {
 }
 
 // Exp sets g = a^k (k taken mod r; negative k uses the inverse) and
-// returns g.
+// returns g. a must be in GT, as every value this package returns is: the
+// k mod r contract already assumes it, and the window loop squares with
+// CyclotomicSquare, which is wrong outside the cyclotomic subgroup. Check
+// a value decoded with Unmarshal with IsInSubgroup first.
 func (g *GT) Exp(a *GT, k *big.Int) *GT {
 	kk := new(big.Int).Mod(k, Order)
-	g.v.Exp(&a.v, kk)
+	g.v.expWindowed(&a.v, kk, true)
 	return g
 }
 
-// IsInSubgroup reports whether g^r == 1.
+// IsInSubgroup reports whether g^r == 1. It uses the generic fp12.Exp,
+// since g may be any Fp12 value.
 func (g *GT) IsInSubgroup() bool {
 	var t fp12
 	t.Exp(&g.v, Order)

@@ -41,24 +41,22 @@ func (lc *lineCoeff) setVertical(xT *fp2) {
 	lc.c.Neg(xT)
 }
 
-// evalLine multiplies f by the line described by lc evaluated at P.
+// evalLine multiplies f by the line described by lc evaluated at P, using
+// the sparse products: 13 fp2 multiplications for a non-vertical line and
+// 10 for a vertical one, where a dense Fp12 product takes 18.
 func evalLine(f *fp12, lc *lineCoeff, P *G1) {
-	var l fp12
 	if lc.vertical {
-		l.c0.c0.c0.Set(&P.x)
-		l.c0.c0.c1.SetZero()
-		l.c0.c1.Set(&lc.c)
-		l.c0.c2.SetZero()
-		l.c1.SetZero()
-	} else {
-		l.c0.c0.MulScalar(&lc.a, &P.y)
-		l.c0.c1.SetZero()
-		l.c0.c2.SetZero()
-		l.c1.c0.MulScalar(&lc.b, &P.x)
-		l.c1.c1.Set(&lc.c)
-		l.c1.c2.SetZero()
+		// l(P) = x_P − x_T·τ lies in Fp6, so it scales both halves of f.
+		var xP fp2
+		xP.c0.Set(&P.x)
+		f.c0.mulBy01(&f.c0, &xP, &lc.c)
+		f.c1.mulBy01(&f.c1, &xP, &lc.c)
+		return
 	}
-	f.Mul(f, &l)
+	var ay, bx fp2
+	ay.MulScalar(&lc.a, &P.y)
+	bx.MulScalar(&lc.b, &P.x)
+	f.mulByLine(f, &ay, &bx, &lc.c)
 }
 
 // doubleStep computes the scaled tangent-line coefficients at the Jacobian
@@ -197,24 +195,37 @@ func addStep(lc *lineCoeff, T *g2Jac, Q *G2) bool {
 	return true
 }
 
-// ateLoop walks the optimal ate Miller-loop skeleton for Q — the 6u+2
-// double-and-add ladder followed by the two Frobenius line steps — and
-// reports each step to emit: squarings as (true, nil) and lines as
-// (false, lc). The lc pointer refers to scratch that is overwritten by the
-// next step; consumers that retain it must copy. This single driver is
-// shared by the direct evaluation (millerLoop) and the coefficient
-// recording (PrepareG2), so the skeleton cannot diverge between them.
+// ateLoop walks the optimal ate Miller-loop skeleton for Q — a signed
+// double-and-add ladder over ateLoopNAF, the non-adjacent form of 6u+2,
+// followed by the two Frobenius line steps — and reports each step to
+// emit: squarings as (true, nil) and lines as (false, lc). The lc pointer
+// refers to scratch that is overwritten by the next step; consumers that
+// retain it must copy. This single driver is shared by the direct
+// evaluation (millerLoop) and the coefficient recording (PrepareG2), so the
+// skeleton cannot diverge between them.
+//
+// A −1 digit adds −Q. The result then differs from the binary ladder's
+// f_{6u+2,Q}(P) only by vertical-line factors, which lie in Fp6 and which
+// the easy part of the final exponentiation sends to 1, so Pair's output
+// is the same. The loop branches only on the public constant 6u+2.
 func ateLoop(Q *G2, emit func(square bool, lc *lineCoeff)) {
 	var T g2Jac
 	T.fromAffine(Q)
+	var negQ G2
+	negQ.Neg(Q)
 	var lc lineCoeff
-	for i := ateLoopCount.BitLen() - 2; i >= 0; i-- {
+	for i := len(ateLoopNAF) - 2; i >= 0; i-- {
 		emit(true, nil)
 		if doubleStep(&lc, &T) {
 			emit(false, &lc)
 		}
-		if ateLoopCount.Bit(i) == 1 {
+		switch ateLoopNAF[i] {
+		case 1:
 			if addStep(&lc, &T, Q) {
+				emit(false, &lc)
+			}
+		case -1:
+			if addStep(&lc, &T, &negQ) {
 				emit(false, &lc)
 			}
 		}
@@ -256,50 +267,40 @@ func millerLoop(P *G1, Q *G2) *fp12 {
 // finalExponentiation raises the Miller-loop output to (p¹²−1)/r, mapping it
 // into the order-r subgroup GT.
 func finalExponentiation(f *fp12) *fp12 {
-	var r fp12
-	// Easy part: f^((p⁶−1)(p²+1)).
-	var inv fp12
+	var m fp12
+	return hardPartChain(easyPart(&m, f))
+}
+
+// easyPart sets e = f^((p⁶−1)(p²+1)), the easy part of the final
+// exponentiation, and returns e. The result lies in the cyclotomic
+// subgroup, where the hard part squares with CyclotomicSquare and inverts
+// with Conjugate.
+func easyPart(e, f *fp12) *fp12 {
+	var r, inv fp12
 	inv.Inverse(f)
 	r.Conjugate(f)
 	r.Mul(&r, &inv) // f^(p⁶−1)
 	var t fp12
 	t.FrobeniusP2(&r)
 	r.Mul(&r, &t) // f^((p⁶−1)(p²+1))
-
-	// Hard part: exponent (p⁴−p²+1)/r via the Devegili et al. addition
-	// chain; hardPartDirect computes the same value by plain square-and-
-	// multiply and is pinned equal in tests.
-	out := hardPartChain(&r)
-	return out
+	return e.Set(&r)
 }
 
-// hardPartDirect computes m^((p⁴−p²+1)/r) by generic exponentiation.
-// It is the reference implementation used by tests and the E1 ablation.
-func hardPartDirect(m *fp12) *fp12 {
-	var out fp12
-	out.Exp(m, finalExpHard)
-	return &out
-}
-
-// hardPartChain computes m^((p⁴−p²+1)/r) with the addition chain of
-// Devegili, Scott and Dahab ("Implementing cryptographic pairings over
-// Barreto–Naehrig curves"), which replaces a ~1016-bit exponentiation by
-// three u-power exponentiations plus a handful of multiplications and
-// Frobenius maps.
+// hardPartChain computes m^((p⁴−p²+1)/r) for m in the cyclotomic subgroup
+// with the addition chain of Devegili, Scott and Dahab ("Implementing
+// cryptographic pairings over Barreto–Naehrig curves"), which replaces a
+// ~1016-bit exponentiation by three u-power exponentiations (expByU) plus
+// a handful of multiplications and Frobenius maps.
 func hardPartChain(m *fp12) *fp12 {
-	expByU := func(dst, a *fp12) *fp12 {
-		return dst.Exp(a, u)
-	}
-
 	var fp1, fp2v, fp3 fp12
 	fp1.Frobenius(m)
 	fp2v.FrobeniusP2(m)
 	fp3.Frobenius(&fp2v)
 
 	var fu, fu2, fu3 fp12
-	expByU(&fu, m)
-	expByU(&fu2, &fu)
-	expByU(&fu3, &fu2)
+	fu.expByU(m)
+	fu2.expByU(&fu)
+	fu3.expByU(&fu2)
 
 	var y3 fp12
 	y3.Frobenius(&fu) // fu^p
@@ -330,18 +331,18 @@ func hardPartChain(m *fp12) *fp12 {
 	y6.Conjugate(&y6)
 
 	var t0, t1 fp12
-	t0.Square(&y6)
+	t0.CyclotomicSquare(&y6)
 	t0.Mul(&t0, &y4)
 	t0.Mul(&t0, &y5)
 	t1.Mul(&y3, &y5)
 	t1.Mul(&t1, &t0)
 	t0.Mul(&t0, &y2)
-	t1.Square(&t1)
+	t1.CyclotomicSquare(&t1)
 	t1.Mul(&t1, &t0)
-	t1.Square(&t1)
+	t1.CyclotomicSquare(&t1)
 	t0.Mul(&t1, &y1)
 	t1.Mul(&t1, &y0)
-	t0.Square(&t0)
+	t0.CyclotomicSquare(&t0)
 	var out fp12
 	out.Mul(&t0, &t1)
 	return &out
@@ -353,23 +354,6 @@ func Pair(P *G1, Q *G2) *GT {
 	f := millerLoop(P, Q)
 	var g GT
 	g.v.Set(finalExponentiation(f))
-	return &g
-}
-
-// PairDirectHardPart computes the same pairing as Pair but performs the
-// final-exponentiation hard part by direct square-and-multiply instead of
-// the Devegili addition chain. Exposed as the E1 ablation reference; tests
-// pin its output equal to Pair's.
-func PairDirectHardPart(P *G1, Q *G2) *GT {
-	f := millerLoop(P, Q)
-	var inv, easy, t fp12
-	inv.Inverse(f)
-	easy.Conjugate(f)
-	easy.Mul(&easy, &inv)
-	t.FrobeniusP2(&easy)
-	easy.Mul(&easy, &t)
-	var g GT
-	g.v.Set(hardPartDirect(&easy))
 	return &g
 }
 

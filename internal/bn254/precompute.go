@@ -54,9 +54,9 @@ func PrepareG2(Q *G2) *PreparedG2 {
 		prep.inf = true
 		return prep
 	}
-	// Capacity: one square per loop bit plus at most two lines per bit and
-	// the two Frobenius lines.
-	n := ateLoopCount.BitLen() - 1
+	// Capacity: one square per loop digit plus at most two lines per digit
+	// and the two Frobenius lines.
+	n := len(ateLoopNAF) - 1
 	prep.ops = make([]millerOp, 0, 3*n+2)
 
 	ateLoop(Q, func(square bool, lc *lineCoeff) {
