@@ -236,10 +236,6 @@ func BenchmarkPair(b *testing.B) {
 	}
 }
 
-// BenchmarkPairNaive is a legacy alias for BenchmarkPair, kept so recorded
-// benchmark histories remain comparable across runs.
-func BenchmarkPairNaive(b *testing.B) { BenchmarkPair(b) }
-
 func BenchmarkG1ScalarBaseMultFixed(b *testing.B) {
 	k := benchScalar()
 	var out G1

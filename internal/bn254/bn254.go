@@ -25,9 +25,8 @@
 // point-at-infinity flags, and the big.Int conversion shims. Scalars and
 // hashing inputs therefore leak timing; protecting real long-term secrets
 // against a local side-channel adversary additionally requires a
-// constant-time ladder, which this reproduction does not claim — see
-// DESIGN.md for the substitution argument against the era's PBC/MIRACL
-// libraries.
+// constant-time ladder, which this reproduction does not claim.
+// docs/bn254.md documents the exact constant-time contract.
 package bn254
 
 import (

@@ -13,7 +13,7 @@
 // The paper's symmetric pairing ê: G×G → G1 is instantiated with the
 // asymmetric ê: G1×G2 → GT; identities hash into G1 and the encryption
 // randomizer g^r lives in G2. Every algebraic identity of the scheme is
-// preserved (see DESIGN.md).
+// preserved.
 package ibe
 
 import (

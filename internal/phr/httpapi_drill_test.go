@@ -359,47 +359,6 @@ func TestAuditJSONBodyMatchesMarshal(t *testing.T) {
 	check()
 }
 
-// TestHTTPLegacyServerConfig pins that the measurement-control server
-// (legacy audit encode, no frame pool) serves byte-identical responses.
-func TestHTTPLegacyServerConfig(t *testing.T) {
-	s := newScenario(t)
-	legacy := httptest.NewServer(NewServerWith(s.svc, ServerConfig{LegacyAuditJSON: true, NoFramePool: true}))
-	t.Cleanup(legacy.Close)
-	client := NewClient(legacy.URL)
-
-	body := []byte("legacy-path record")
-	sealed, err := hybrid.Encrypt(s.alice.Delegator(), body, CategoryEmergency, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := client.PutRecord(&EncryptedRecord{
-		ID: "alice/leg-1", PatientID: s.alice.ID(), Category: CategoryEmergency, Sealed: sealed,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	rk, err := s.alice.Delegator().Delegate(s.kgc2.Params(), s.bobKey.ID, CategoryEmergency, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := client.InstallGrant(rk); err != nil {
-		t.Fatal(err)
-	}
-	rct, err := client.Disclose("alice/leg-1", s.bobKey.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := hybrid.DecryptReEncrypted(s.bobKey, rct); err != nil || !bytes.Equal(got, body) {
-		t.Fatalf("legacy single disclosure: err=%v", err)
-	}
-	rcts, err := client.DiscloseCategory(s.alice.ID(), CategoryEmergency, s.bobKey.ID)
-	if err != nil || len(rcts) != 1 {
-		t.Fatalf("legacy bulk disclosure: err=%v n=%d", err, len(rcts))
-	}
-	if entries, err := client.Audit(CategoryEmergency); err != nil || len(entries) != 2 {
-		t.Fatalf("legacy audit: err=%v entries=%d", err, len(entries))
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Bulk-stream decoder: corrupt and truncated streams
 // ---------------------------------------------------------------------------

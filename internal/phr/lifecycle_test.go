@@ -29,7 +29,7 @@ func TestRevokedGrantNotServedFromPreparedCache(t *testing.T) {
 	if _, err := s.svc.Read(rec.ID, s.bobKey); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := proxy.DiscloseCategoryParallel(s.svc.Store, s.alice.ID(), CategoryEmergency, s.bobKey.ID); err != nil {
+	if _, err := proxy.DiscloseCategory(s.svc.Store, s.alice.ID(), CategoryEmergency, s.bobKey.ID); err != nil {
 		t.Fatal(err)
 	}
 
@@ -42,9 +42,6 @@ func TestRevokedGrantNotServedFromPreparedCache(t *testing.T) {
 	}
 	if _, err := proxy.DiscloseCategory(s.svc.Store, s.alice.ID(), CategoryEmergency, s.bobKey.ID); !errors.Is(err, ErrNoGrant) {
 		t.Fatalf("bulk path after revoke: want ErrNoGrant, got %v", err)
-	}
-	if _, err := proxy.DiscloseCategoryParallel(s.svc.Store, s.alice.ID(), CategoryEmergency, s.bobKey.ID); !errors.Is(err, ErrNoGrant) {
-		t.Fatalf("parallel path after revoke: want ErrNoGrant, got %v", err)
 	}
 	yields := 0
 	err = proxy.DiscloseCategoryStream(s.svc.Store, s.alice.ID(), CategoryEmergency, s.bobKey.ID,
@@ -125,7 +122,7 @@ func TestReinstallMidStreamAlsoKillsOldStream(t *testing.T) {
 		t.Fatalf("old stream survived re-keying: err=%v yields=%d", err, yields)
 	}
 	// The fresh grant serves normally.
-	if _, err := proxy.DiscloseCategoryParallel(s.svc.Store, s.alice.ID(), CategoryEmergency, s.bobKey.ID); err != nil {
+	if _, err := proxy.DiscloseCategory(s.svc.Store, s.alice.ID(), CategoryEmergency, s.bobKey.ID); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -175,7 +172,7 @@ func TestRotateTypeKeyLifecycle(t *testing.T) {
 	if _, err := s.svc.Read(ids[0], s.bobKey); !errors.Is(err, ErrStaleGrant) {
 		t.Fatalf("serial path on stale grant: want ErrStaleGrant, got %v", err)
 	}
-	if _, err := proxy.DiscloseCategoryParallel(s.svc.Store, s.alice.ID(), CategoryMedication, s.bobKey.ID); !errors.Is(err, ErrStaleGrant) {
+	if _, err := proxy.DiscloseCategory(s.svc.Store, s.alice.ID(), CategoryMedication, s.bobKey.ID); !errors.Is(err, ErrStaleGrant) {
 		t.Fatalf("bulk path on stale grant: want ErrStaleGrant, got %v", err)
 	}
 	if got := len(proxy.Audit().ByOutcome(OutcomeStaleGrant)); got != 2 {

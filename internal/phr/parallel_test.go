@@ -19,36 +19,36 @@ func bulkWorkload(t *testing.T, n int) (*Workload, *Proxy, string, string) {
 	return f.Workload, f.Proxy, f.PatientID, f.RequesterID
 }
 
-// TestDiscloseCategoryParallelMatchesSerial pins the worker-pool path to
-// the serial one: same record order, byte-identical plaintexts after
-// delegatee decryption.
-func TestDiscloseCategoryParallelMatchesSerial(t *testing.T) {
+// TestDiscloseCategoryMatchesPerRecord pins the worker-pool bulk path to
+// the single-record path: same record order, byte-identical plaintexts
+// after delegatee decryption.
+func TestDiscloseCategoryMatchesPerRecord(t *testing.T) {
 	w, proxy, patient, requester := bulkWorkload(t, 24)
 	key := w.Requesters[requester]
 
-	serial, err := proxy.DiscloseCategory(w.Service.Store, patient, CategoryEmergency, requester)
+	bulk, err := proxy.DiscloseCategory(w.Service.Store, patient, CategoryEmergency, requester)
 	if err != nil {
 		t.Fatal(err)
-	}
-	parallel, err := proxy.DiscloseCategoryParallel(w.Service.Store, patient, CategoryEmergency, requester)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != 24 || len(parallel) != 24 {
-		t.Fatalf("serial=%d parallel=%d, want 24", len(serial), len(parallel))
 	}
 	recs := mustList(t, w.Service.Store, patient, CategoryEmergency)
-	for i := range parallel {
-		want := w.Bodies[recs[i].ID]
-		gotP, err := hybrid.DecryptReEncrypted(key, parallel[i])
+	if len(bulk) != 24 || len(recs) != 24 {
+		t.Fatalf("bulk=%d records=%d, want 24", len(bulk), len(recs))
+	}
+	for i, rec := range recs {
+		want := w.Bodies[rec.ID]
+		single, err := proxy.Disclose(w.Service.Store, rec.ID, requester)
 		if err != nil {
-			t.Fatalf("parallel item %d: %v", i, err)
+			t.Fatalf("record %d: %v", i, err)
 		}
-		gotS, err := hybrid.DecryptReEncrypted(key, serial[i])
+		gotB, err := hybrid.DecryptReEncrypted(key, bulk[i])
 		if err != nil {
-			t.Fatalf("serial item %d: %v", i, err)
+			t.Fatalf("bulk item %d: %v", i, err)
 		}
-		if !bytes.Equal(gotP, want) || !bytes.Equal(gotS, want) {
+		gotS, err := hybrid.DecryptReEncrypted(key, single)
+		if err != nil {
+			t.Fatalf("single item %d: %v", i, err)
+		}
+		if !bytes.Equal(gotB, want) || !bytes.Equal(gotS, want) {
 			t.Fatalf("item %d: plaintext mismatch (order broken?)", i)
 		}
 	}
@@ -107,12 +107,12 @@ func TestDiscloseCategoryStreamOrderAndAudit(t *testing.T) {
 	}
 }
 
-// TestDiscloseCategoryParallelNoGrant keeps the denial semantics: error,
+// TestDiscloseCategoryNoGrant keeps the denial semantics: error,
 // no results, one no-grant audit entry.
-func TestDiscloseCategoryParallelNoGrant(t *testing.T) {
+func TestDiscloseCategoryNoGrant(t *testing.T) {
 	w, proxy, patient, _ := bulkWorkload(t, 4)
 	before := proxy.Audit().Len()
-	_, err := proxy.DiscloseCategoryParallel(w.Service.Store, patient, CategoryEmergency, "eve@outside.example")
+	_, err := proxy.DiscloseCategory(w.Service.Store, patient, CategoryEmergency, "eve@outside.example")
 	if !errors.Is(err, ErrNoGrant) {
 		t.Fatalf("got %v, want ErrNoGrant", err)
 	}
@@ -122,10 +122,10 @@ func TestDiscloseCategoryParallelNoGrant(t *testing.T) {
 	}
 }
 
-// TestDiscloseCategoryParallelConcurrentRequesters runs bulk disclosures
+// TestDiscloseCategoryConcurrentRequesters runs bulk disclosures
 // from several goroutines against one proxy — race coverage for the pool,
 // the grant table, the store, and the audit log together.
-func TestDiscloseCategoryParallelConcurrentRequesters(t *testing.T) {
+func TestDiscloseCategoryConcurrentRequesters(t *testing.T) {
 	w, proxy, patient, requester := bulkWorkload(t, 16)
 	key := w.Requesters[requester]
 	recs := mustList(t, w.Service.Store, patient, CategoryEmergency)
@@ -136,7 +136,7 @@ func TestDiscloseCategoryParallelConcurrentRequesters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rcts, err := proxy.DiscloseCategoryParallel(w.Service.Store, patient, CategoryEmergency, requester)
+			rcts, err := proxy.DiscloseCategory(w.Service.Store, patient, CategoryEmergency, requester)
 			if err != nil {
 				errs <- err
 				return

@@ -151,30 +151,17 @@ func (p *Proxy) Disclose(store Backend, recordID, requester string) (*hybrid.ReC
 
 // DiscloseCategory re-encrypts every record of (patient, category) toward
 // the requester — the bulk path used in emergencies (§5: "the PHR data can
-// be disclosed on demand by the proxy").
+// be disclosed on demand by the proxy"). It is DiscloseCategoryStream
+// collected into a slice: insertion order, re-encryption spread across the
+// worker pool.
 func (p *Proxy) DiscloseCategory(store Backend, patientID string, c Category, requester string) ([]*hybrid.ReCiphertext, error) {
-	if _, ok := p.lookup(patientID, c, requester); !ok {
-		p.audit.Append(AuditEntry{
-			Proxy: p.name, PatientID: patientID, Category: c,
-			Requester: requester, Outcome: OutcomeNoGrant,
-		})
-		return nil, fmt.Errorf("%w: %s/%s for %s", ErrNoGrant, patientID, c, requester)
-	}
-	recs, err := store.ListByPatientCategory(patientID, c)
-	if err != nil {
-		p.audit.Append(AuditEntry{
-			Proxy: p.name, PatientID: patientID, Category: c,
-			Requester: requester, Outcome: OutcomeError,
-		})
-		return nil, err
-	}
-	out := make([]*hybrid.ReCiphertext, 0, len(recs))
-	for _, rec := range recs {
-		rct, err := p.Disclose(store, rec.ID, requester)
-		if err != nil {
-			return nil, err
-		}
+	var out []*hybrid.ReCiphertext
+	err := p.DiscloseCategoryStream(store, patientID, c, requester, func(rct *hybrid.ReCiphertext) error {
 		out = append(out, rct)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -192,8 +179,8 @@ func (p *Proxy) DiscloseCategory(store Backend, patientID string, c Category, re
 // mid-stream stops the stream with ErrNoGrant before the next record
 // leaves the proxy.
 //
-// Audit semantics match the serial path: one granted entry per disclosed
-// record; a denial or a failed transformation is audited once.
+// Audit semantics match Disclose: one granted entry per disclosed record;
+// a denial or a failed transformation is audited once.
 func (p *Proxy) DiscloseCategoryStream(store Backend, patientID string, c Category, requester string, yield func(*hybrid.ReCiphertext) error) error {
 	return p.discloseCategoryStream(store, patientID, c, requester, OutcomeGranted, "", yield)
 }
@@ -289,22 +276,6 @@ func (p *Proxy) BreakGlass(store Backend, patientID string, c Category, requeste
 		return ErrBreakGlassReason
 	}
 	return p.discloseCategoryStream(store, patientID, c, requester, OutcomeBreakGlass, reason, yield)
-}
-
-// DiscloseCategoryParallel is DiscloseCategory with the re-encryption
-// work spread across the worker pool: same results in the same (insertion)
-// order, near-linear scaling in GOMAXPROCS on multi-record patients (the
-// BenchmarkDiscloseCategory serial/parallel pair measures this).
-func (p *Proxy) DiscloseCategoryParallel(store Backend, patientID string, c Category, requester string) ([]*hybrid.ReCiphertext, error) {
-	var out []*hybrid.ReCiphertext
-	err := p.DiscloseCategoryStream(store, patientID, c, requester, func(rct *hybrid.ReCiphertext) error {
-		out = append(out, rct)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // CompromisedGrants models a corrupted proxy: the attacker walks away with

@@ -137,7 +137,7 @@ func RevocationDrill(seed int64) (*Drill, error) {
 		return nil, err
 	}
 
-	var serialErr, bulkErr, parallelErr, streamErr error
+	var serialErr, bulkErr, streamErr error
 	streamYields := 0
 	var midErr error
 	midYields := 0
@@ -153,7 +153,7 @@ func RevocationDrill(seed int64) (*Drill, error) {
 						return err
 					}
 					// Warm the prepared grant's pairing cache on the
-					// serial, parallel, and streaming paths.
+					// serial and bulk paths.
 					recs, err := w.Service.Store.ListByPatientCategory(patient.ID(), phr.CategoryEmergency)
 					if err != nil {
 						return err
@@ -195,7 +195,6 @@ func RevocationDrill(seed int64) (*Drill, error) {
 					}
 					_, serialErr = w.Service.Request(recs[0].ID, requester.ID)
 					_, bulkErr = proxy.DiscloseCategory(w.Service.Store, patient.ID(), phr.CategoryEmergency, requester.ID)
-					_, parallelErr = proxy.DiscloseCategoryParallel(w.Service.Store, patient.ID(), phr.CategoryEmergency, requester.ID)
 					streamErr = proxy.DiscloseCategoryStream(w.Service.Store, patient.ID(), phr.CategoryEmergency, requester.ID,
 						func(*hybrid.ReCiphertext) error { streamYields++; return nil })
 					return nil
@@ -209,7 +208,6 @@ func RevocationDrill(seed int64) (*Drill, error) {
 					}},
 					errIs("serial-path-denied", &serialErr, phr.ErrNoGrant),
 					errIs("bulk-path-denied", &bulkErr, phr.ErrNoGrant),
-					errIs("parallel-path-denied", &parallelErr, phr.ErrNoGrant),
 					errIs("stream-path-denied", &streamErr, phr.ErrNoGrant),
 					{Name: "stream-released-nothing", Check: func() error {
 						if streamYields != 0 {
@@ -219,8 +217,8 @@ func RevocationDrill(seed int64) (*Drill, error) {
 					}},
 					{Name: "denials-audited", Check: func() error {
 						// One denial per refused path.
-						if n := len(proxy.Audit().ByOutcome(phr.OutcomeNoGrant)); n != 4 {
-							return fmt.Errorf("no-grant audit entries = %d, want 4", n)
+						if n := len(proxy.Audit().ByOutcome(phr.OutcomeNoGrant)); n != 3 {
+							return fmt.Errorf("no-grant audit entries = %d, want 3", n)
 						}
 						return nil
 					}},
@@ -351,7 +349,7 @@ func KeyRotationDrill(seed int64) (*Drill, error) {
 						return err
 					}
 					_, staleSerialErr = w.Service.Request(recs[0].ID, requester.ID)
-					_, staleBulkErr = proxy.DiscloseCategoryParallel(w.Service.Store, patient.ID(), phr.CategoryMedication, requester.ID)
+					_, staleBulkErr = proxy.DiscloseCategory(w.Service.Store, patient.ID(), phr.CategoryMedication, requester.ID)
 					return nil
 				},
 				Invariants: []Invariant{

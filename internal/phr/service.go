@@ -135,14 +135,14 @@ func (s *Service) BreakGlass(patientID, requesterID, reason string) ([]*hybrid.R
 }
 
 // ReadCategory requests and decrypts every record of (patient, category).
-// Re-encryption runs on the parallel bulk path; results keep insertion
+// Re-encryption runs on the worker-pool bulk path; results keep insertion
 // order.
 func (s *Service) ReadCategory(patientID string, c Category, requester *ibe.PrivateKey) ([][]byte, error) {
 	proxy, err := s.ProxyFor(c)
 	if err != nil {
 		return nil, err
 	}
-	rcts, err := proxy.DiscloseCategoryParallel(s.Store, patientID, c, requester.ID)
+	rcts, err := proxy.DiscloseCategory(s.Store, patientID, c, requester.ID)
 	if err != nil {
 		return nil, err
 	}

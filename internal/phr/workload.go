@@ -12,7 +12,7 @@ import (
 // not available (and would be unusable in a public repository); this
 // generator reproduces the *structure* of the §5 scenario: patients with
 // records spread over privacy categories, and clinicians granted access to
-// subsets of those categories. The substitution is documented in DESIGN.md.
+// subsets of those categories.
 type WorkloadConfig struct {
 	Seed              int64
 	Patients          int
@@ -51,8 +51,8 @@ func DefaultWorkload() WorkloadConfig {
 }
 
 // BulkFixture is the single-patient bulk-disclosure corpus shared by the
-// DiscloseCategory tests, benchmarks, and typepre-bench's E9: n emergency
-// records for one patient, one requester, one installed grant.
+// DiscloseCategory tests and the E9 benchmark: n emergency records for one
+// patient, one requester, one installed grant.
 type BulkFixture struct {
 	*Workload
 	Proxy       *Proxy
