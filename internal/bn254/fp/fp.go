@@ -9,7 +9,10 @@
 // (254 bits). An Element stores the residue x as x·R mod p with R = 2^256,
 // little-endian limbs ("Montgomery form"). Products are reduced with the
 // CIOS (coarsely integrated operand scanning) interleaving of schoolbook
-// multiplication and Montgomery reduction, built entirely from
+// multiplication and Montgomery reduction, fully unrolled into one
+// straight-line function. Since p < 2^254 the accumulator needs no fifth
+// limb ("no-carry" CIOS) and sums need no carry limb; Mul and Add each end
+// in one masked conditional subtraction of p. Everything is built from
 // math/bits.Mul64/Add64/Sub64 — no assembly, no heap allocation.
 //
 // Constant-time contract: Add, Sub, Neg, Double, Mul, Square, Inverse,
@@ -80,6 +83,10 @@ func init() {
 	}
 	if toLimbs(p) != [4]uint64{q0, q1, q2, q3} {
 		panic("fp: modulus limbs do not match decimal modulus")
+	}
+	// Mul's no-carry CIOS and Add's carry-free sum both need p < 2^254.
+	if q3>>62 != 0 {
+		panic("fp: top modulus limb ≥ 2^62 breaks the no-carry Mul and Add")
 	}
 
 	two64 := new(big.Int).Lsh(big.NewInt(1), 64)
@@ -171,28 +178,25 @@ func (z *Element) Select(cond uint64, a, b *Element) *Element {
 // Additive arithmetic (constant time)
 // ---------------------------------------------------------------------------
 
-// reduce conditionally subtracts p so that the limbs (with the incoming
-// carry bit) land in [0, p). Constant time.
-func (z *Element) reduce(carry uint64) *Element {
-	var t Element
-	var b uint64
-	t[0], b = bits.Sub64(z[0], q0, 0)
-	t[1], b = bits.Sub64(z[1], q1, b)
-	t[2], b = bits.Sub64(z[2], q2, b)
-	t[3], b = bits.Sub64(z[3], q3, b)
-	// Keep the subtracted value when the subtraction did not borrow, or
-	// when a carry limb means the true value overflowed 2^256.
-	return z.Select(carry|(b^1), &t, z)
-}
-
 // Add sets z = a + b and returns z.
 func (z *Element) Add(a, b *Element) *Element {
-	var c uint64
-	z[0], c = bits.Add64(a[0], b[0], 0)
-	z[1], c = bits.Add64(a[1], b[1], c)
-	z[2], c = bits.Add64(a[2], b[2], c)
-	z[3], c = bits.Add64(a[3], b[3], c)
-	return z.reduce(c)
+	// a, b < p < 2^254 (checked at init), so the sum never carries out of
+	// the top limb and one masked subtraction of p canonicalizes it.
+	t0, c := bits.Add64(a[0], b[0], 0)
+	t1, c := bits.Add64(a[1], b[1], c)
+	t2, c := bits.Add64(a[2], b[2], c)
+	t3, _ := bits.Add64(a[3], b[3], c)
+
+	s0, br := bits.Sub64(t0, q0, 0)
+	s1, br := bits.Sub64(t1, q1, br)
+	s2, br := bits.Sub64(t2, q2, br)
+	s3, br := bits.Sub64(t3, q3, br)
+	keep := br - 1 // all-ones iff t ≥ p: take t − p
+	z[0] = t0 ^ (keep & (s0 ^ t0))
+	z[1] = t1 ^ (keep & (s1 ^ t1))
+	z[2] = t2 ^ (keep & (s2 ^ t2))
+	z[3] = t3 ^ (keep & (s3 ^ t3))
+	return z
 }
 
 // Double sets z = 2a and returns z.
@@ -241,53 +245,107 @@ func (z *Element) Neg(a *Element) *Element {
 // Mul sets z = a·b (Montgomery product a·b·R⁻¹ mod p) and returns z.
 // Aliasing of z with a or b is allowed.
 //
-// This is Acar's CIOS algorithm: each of the four outer rounds accumulates
-// one partial product row and immediately cancels the low limb with a
-// multiple of p, keeping the working value in five limbs. Because
-// p < 2^255, the result before the final reduction is < 2p, so a single
-// conditional subtraction canonicalizes it.
+// This is the CIOS (coarsely integrated operand scanning) algorithm,
+// unrolled: each of the four rounds adds one row a[i]·b and cancels the
+// low limb with m·p, shifting the accumulator down one limb. The top limb
+// of p is below 2^62 (checked at init), so the accumulator never needs a
+// fifth limb: the last multiply-add of each round cannot carry out
+// ("no-carry" CIOS). The result is below 2p and one masked subtraction
+// canonicalizes it.
 func (z *Element) Mul(a, b *Element) *Element {
-	var t [5]uint64 // t[4] is the overflow limb; never exceeds one bit + carries
+	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+	b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
+	var t0, t1, t2, t3, c0, c1, c2, m uint64
 
-	for i := 0; i < 4; i++ {
-		// t += a * b[i]
-		bi := b[i]
-		var c uint64
-		for j := 0; j < 4; j++ {
-			hi, lo := bits.Mul64(a[j], bi)
-			var c1, c2 uint64
-			lo, c1 = bits.Add64(lo, t[j], 0)
-			lo, c2 = bits.Add64(lo, c, 0)
-			t[j] = lo
-			// t[j] + a[j]·b[i] + c < 2^128, so hi+c1+c2 cannot wrap.
-			c = hi + c1 + c2
-		}
-		t4, carry := bits.Add64(t[4], c, 0)
+	// Round 0: the accumulator starts at zero.
+	c1, c0 = bits.Mul64(a0, b0)
+	m = c0 * qInvNeg
+	c2 = madd0(m, q0, c0)
+	c1, c0 = madd1(a0, b1, c1)
+	c2, t0 = madd2(m, q1, c2, c0)
+	c1, c0 = madd1(a0, b2, c1)
+	c2, t1 = madd2(m, q2, c2, c0)
+	c1, c0 = madd1(a0, b3, c1)
+	t3, t2 = madd3(m, q3, c0, c2, c1)
 
-		// t = (t + m·p) / 2^64 with m chosen to zero the low limb.
-		m := t[0] * qInvNeg
-		hi, lo := bits.Mul64(m, q0)
-		_, c1 := bits.Add64(lo, t[0], 0)
-		c = hi + c1 // lo + t[0] == 0 mod 2^64 by choice of m
-		for j := 1; j < 4; j++ {
-			hi, lo := bits.Mul64(m, qLimbs[j])
-			var c2, c3 uint64
-			lo, c2 = bits.Add64(lo, t[j], 0)
-			lo, c3 = bits.Add64(lo, c, 0)
-			t[j-1] = lo
-			c = hi + c2 + c3
-		}
-		var c4 uint64
-		t[3], c4 = bits.Add64(t4, c, 0)
-		t[4] = carry + c4
-	}
+	// Round 1.
+	c1, c0 = madd1(a1, b0, t0)
+	m = c0 * qInvNeg
+	c2 = madd0(m, q0, c0)
+	c1, c0 = madd2(a1, b1, c1, t1)
+	c2, t0 = madd2(m, q1, c2, c0)
+	c1, c0 = madd2(a1, b2, c1, t2)
+	c2, t1 = madd2(m, q2, c2, c0)
+	c1, c0 = madd2(a1, b3, c1, t3)
+	t3, t2 = madd3(m, q3, c0, c2, c1)
 
-	z[0], z[1], z[2], z[3] = t[0], t[1], t[2], t[3]
-	return z.reduce(t[4])
+	// Round 2.
+	c1, c0 = madd1(a2, b0, t0)
+	m = c0 * qInvNeg
+	c2 = madd0(m, q0, c0)
+	c1, c0 = madd2(a2, b1, c1, t1)
+	c2, t0 = madd2(m, q1, c2, c0)
+	c1, c0 = madd2(a2, b2, c1, t2)
+	c2, t1 = madd2(m, q2, c2, c0)
+	c1, c0 = madd2(a2, b3, c1, t3)
+	t3, t2 = madd3(m, q3, c0, c2, c1)
+
+	// Round 3.
+	c1, c0 = madd1(a3, b0, t0)
+	m = c0 * qInvNeg
+	c2 = madd0(m, q0, c0)
+	c1, c0 = madd2(a3, b1, c1, t1)
+	c2, t0 = madd2(m, q1, c2, c0)
+	c1, c0 = madd2(a3, b2, c1, t2)
+	c2, t1 = madd2(m, q2, c2, c0)
+	c1, c0 = madd2(a3, b3, c1, t3)
+	t3, t2 = madd3(m, q3, c0, c2, c1)
+
+	s0, br := bits.Sub64(t0, q0, 0)
+	s1, br := bits.Sub64(t1, q1, br)
+	s2, br := bits.Sub64(t2, q2, br)
+	s3, br := bits.Sub64(t3, q3, br)
+	keep := br - 1 // all-ones iff t ≥ p: take t − p
+	z[0] = t0 ^ (keep & (s0 ^ t0))
+	z[1] = t1 ^ (keep & (s1 ^ t1))
+	z[2] = t2 ^ (keep & (s2 ^ t2))
+	z[3] = t3 ^ (keep & (s3 ^ t3))
+	return z
 }
 
-// qLimbs exposes the modulus limbs to the reduction loop by index.
-var qLimbs = [4]uint64{q0, q1, q2, q3}
+// madd0 returns the high word of a·b + c.
+func madd0(a, b, c uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	_, carry := bits.Add64(lo, c, 0)
+	return hi + carry
+}
+
+// madd1 returns a·b + c as (hi, lo).
+func madd1(a, b, c uint64) (hi, lo uint64) {
+	hi, lo = bits.Mul64(a, b)
+	var carry uint64
+	lo, carry = bits.Add64(lo, c, 0)
+	return hi + carry, lo
+}
+
+// madd2 returns a·b + c + d as (hi, lo); it cannot overflow 128 bits.
+func madd2(a, b, c, d uint64) (hi, lo uint64) {
+	hi, lo = bits.Mul64(a, b)
+	c, carry := bits.Add64(c, d, 0)
+	hi += carry
+	lo, carry = bits.Add64(lo, c, 0)
+	return hi + carry, lo
+}
+
+// madd3 returns a·b + c + d + e·2^64 as (hi, lo). The caller guarantees
+// the sum fits in 128 bits; Mul's no-carry bound is what makes that hold.
+func madd3(a, b, c, d, e uint64) (hi, lo uint64) {
+	hi, lo = bits.Mul64(a, b)
+	c, carry := bits.Add64(c, d, 0)
+	hi += carry
+	lo, carry = bits.Add64(lo, c, 0)
+	return hi + e + carry, lo
+}
 
 // Square sets z = a² and returns z. A dedicated squaring saves under ~15%
 // for 4 limbs; this implementation keeps one multiplication path so the

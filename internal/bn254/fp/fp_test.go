@@ -291,6 +291,85 @@ func TestAliasing(t *testing.T) {
 	}
 }
 
+// limbsBig returns the raw integer the limbs encode, ignoring Montgomery
+// form, so a result can be compared limb for limb (which also checks that
+// it is canonical).
+func limbsBig(e *Element) *big.Int {
+	var buf [32]byte
+	putBE(&buf, e)
+	return new(big.Int).SetBytes(buf[:])
+}
+
+// TestOpsExtremeLimbs checks every fused op on raw-limb operands at the
+// carry and borrow boundaries against a math/big Montgomery reference:
+// with R = 2^256, Mul(a, b) = a·b·R⁻¹ mod p and the additive ops act on
+// the raw residues directly. SetBigInt-built inputs (FuzzFpVsBig) reach
+// these limb patterns only by chance.
+func TestOpsExtremeLimbs(t *testing.T) {
+	const ones = ^uint64(0)
+	ops := map[string]Element{
+		"0":       {},
+		"1":       {1},
+		"one":     one,
+		"p-1":     {q0 - 1, q1, q2, q3},
+		"p-2":     {q0 - 2, q1, q2, q3},
+		"(p-1)/2": {0x9e10460b6c3e7ea3, 0xcbc0b548b438e546, 0xdc2822db40c0ac2e, 0x183227397098d014},
+		// p−1 is the largest element with top limb q3; these are the
+		// smallest one, and the largest one whose top limb is below q3.
+		"q3·2^192":   {0, 0, 0, q3},
+		"q3·2^192-1": {ones, ones, ones, q3 - 1},
+	}
+	rInv := new(big.Int).ModInverse(new(big.Int).Lsh(big.NewInt(1), 256), modulus)
+	mont := func(x, y *big.Int) *big.Int {
+		v := new(big.Int).Mul(x, y)
+		return ref(v.Mul(v, rInv))
+	}
+	check := func(op string, got *Element, want *big.Int) {
+		t.Helper()
+		if g := limbsBig(got); g.Cmp(want) != 0 {
+			t.Errorf("%s = %#x, want %#x", op, g, want)
+		}
+	}
+	half := ops["(p-1)/2"]
+	if limbsBig(&half).Cmp(new(big.Int).Rsh(modulus, 1)) != 0 {
+		t.Fatal("(p-1)/2 literal is wrong")
+	}
+	for an, a := range ops {
+		x := limbsBig(&a)
+		if x.Cmp(modulus) >= 0 {
+			t.Fatalf("operand %s is not below p", an)
+		}
+		var z Element
+		check("Square("+an+")", z.Square(&a), mont(x, x))
+		check("Double("+an+")", z.Double(&a), ref(new(big.Int).Lsh(x, 1)))
+		check("Neg("+an+")", z.Neg(&a), ref(new(big.Int).Neg(x)))
+		for bn, b := range ops {
+			y := limbsBig(&b)
+			name := "(" + an + ", " + bn + ")"
+			check("Mul"+name, z.Mul(&a, &b), mont(x, y))
+			check("Add"+name, z.Add(&a, &b), ref(new(big.Int).Add(x, y)))
+			check("Sub"+name, z.Sub(&a, &b), ref(new(big.Int).Sub(x, y)))
+		}
+	}
+}
+
+// TestOpsDoNotAllocate pins the hot field ops at zero heap allocations;
+// every layer above calls them millions of times per second.
+func TestOpsDoNotAllocate(t *testing.T) {
+	var x, y, z Element
+	x.SetUint64(3)
+	y.SetUint64(5)
+	for name, op := range map[string]func(){
+		"Mul": func() { z.Mul(&x, &y) },
+		"Add": func() { z.Add(&x, &y) },
+		"Sub": func() { z.Sub(&x, &y) },
+	} {
+		if n := testing.AllocsPerRun(100, op); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", name, n)
+		}
+	}
+}
+
 func BenchmarkMul(b *testing.B) {
 	r := rand.New(rand.NewSource(20))
 	var x, y, z Element
@@ -320,6 +399,27 @@ func BenchmarkAdd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		z.Add(&x, &y)
+	}
+}
+
+func BenchmarkSub(b *testing.B) {
+	r := rand.New(rand.NewSource(25))
+	var x, y, z Element
+	x.SetBigInt(randBig(r))
+	y.SetBigInt(randBig(r))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		z.Sub(&x, &y)
+	}
+}
+
+func BenchmarkDouble(b *testing.B) {
+	r := rand.New(rand.NewSource(26))
+	var x, z Element
+	x.SetBigInt(randBig(r))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		z.Double(&x)
 	}
 }
 

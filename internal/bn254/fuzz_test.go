@@ -108,12 +108,17 @@ func fpFromFuzz(chunk []byte) (fp.Element, *big.Int) {
 }
 
 // FuzzFpVsBig differentially checks the Montgomery-limb Fp core against
-// math/big on the same inputs: add, sub, neg, mul, square, and inverse must
-// agree, and the byte encoding must round-trip through big.Int.
+// math/big on the same inputs: add, double, sub, neg, mul, square, and
+// inverse must agree, and the byte encoding must round-trip through big.Int.
 func FuzzFpVsBig(f *testing.F) {
 	f.Add(make([]byte, 64))
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	f.Add(append(P.Bytes(), P.Bytes()...))
+	pm1 := new(big.Int).Sub(P, big.NewInt(1)).FillBytes(make([]byte, 32))
+	pm2 := new(big.Int).Sub(P, big.NewInt(2)).FillBytes(make([]byte, 32))
+	f.Add(append(append([]byte{}, pm1...), pm1...))
+	f.Add(append(append([]byte{}, pm1...), pm2...))
+	f.Add(append(append([]byte{}, pm2...), pm1...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 64 {
 			return
@@ -129,6 +134,8 @@ func FuzzFpVsBig(f *testing.F) {
 		var out fp.Element
 		out.Add(&a, &b)
 		check("add", &out, new(big.Int).Mod(new(big.Int).Add(abig, bbig), P))
+		out.Double(&a)
+		check("double", &out, new(big.Int).Mod(new(big.Int).Lsh(abig, 1), P))
 		out.Sub(&a, &b)
 		check("sub", &out, new(big.Int).Mod(new(big.Int).Sub(abig, bbig), P))
 		out.Neg(&a)

@@ -437,3 +437,24 @@ func TestKDFDeterministicAndLength(t *testing.T) {
 		t.Fatal("KDF domain separation failed")
 	}
 }
+
+// TestPairingAllocs pins the pairing's heap allocations per call, so a
+// value that starts escaping to the heap in the Miller loop or the final
+// exponentiation fails a test instead of showing only in a benchmark.
+func TestPairingAllocs(t *testing.T) {
+	p, q := G1Generator(), G2Generator()
+	f := millerLoop(p, q)
+	for _, c := range []struct {
+		name string
+		max  float64
+		op   func()
+	}{
+		{"millerLoop", 2, func() { millerLoop(p, q) }},
+		{"finalExponentiation", 1, func() { finalExponentiation(f) }},
+		{"Pair", 4, func() { Pair(p, q) }},
+	} {
+		if n := testing.AllocsPerRun(5, c.op); n > c.max {
+			t.Errorf("%s: %v allocs/op, want ≤ %v", c.name, n, c.max)
+		}
+	}
+}
